@@ -271,11 +271,12 @@ fn model_evaluation(c: &mut Criterion) {
     let delays: Vec<u64> = (0..5_000)
         .map(|i| if i % 4 == 0 { (i % 200) * 10 } else { 0 })
         .collect();
+    let histograms: Vec<DelayHistogram> = (0..3)
+        .map(|_| DelayHistogram::from_delays(10, delays.clone()))
+        .collect();
     let inputs = ModelInputs {
         windows: vec![5_000; 3],
-        histograms: (0..3)
-            .map(|_| DelayHistogram::from_delays(10, delays.clone()))
-            .collect(),
+        histograms: histograms.iter().collect(),
         k_sync: vec![0, 50, 120],
         basic_window: 10,
         granularity: 10,

@@ -7,6 +7,12 @@
 //! `MaxDH` — whose model-predicted recall `γ(L, k*)` meets `Γ'` (Alg. 3).
 //! The Same-K policy (Theorem 1) lets the same `k*` be applied to every
 //! K-slack component.
+//!
+//! A step borrows the incrementally kept delay histograms of the
+//! [`StatisticsManager`], builds the recall model's integer tables in one
+//! pass over their buckets, and then pays O(m·g′) per candidate `K`, with
+//! `g′ = g/gcd(b, g)` — O(m) at the paper default `b = g` (see
+//! [`crate::model`]).
 
 use crate::config::{DisorderConfig, SelectivityStrategy};
 use crate::model::{ModelInputs, RecallModel};
@@ -97,10 +103,9 @@ impl BufferSizeManager {
         let gamma_prime = self.instant_requirement(n_prod_hist, n_true_hist, n_true_next);
 
         // Build the recall model from the current statistics.
-        let m = stats.arity();
         let inputs = ModelInputs {
             windows: self.windows.clone(),
-            histograms: (0..m)
+            histograms: (0..stats.arity())
                 .map(|i| stats.delay_histogram(StreamIndex(i)))
                 .collect(),
             k_sync: stats.k_sync_estimates(),

@@ -14,6 +14,14 @@
 //! The length of the history window `R_stat_i` is adjusted per stream with
 //! ADWIN \[25\], so the histogram forgets stale disorder patterns quickly when
 //! the delay distribution changes.
+//!
+//! Each stream's histogram is kept incrementally: an arrival adds its delay
+//! and every sample trimmed from the history removes its own, so the
+//! histogram always describes exactly the retained samples. An adaptation
+//! step borrows it ([`StatisticsManager::delay_histogram`]) instead of
+//! rebuilding it from up to `MAX_HISTORY` samples. `MaxDH` is kept the
+//! same way, so [`StatisticsManager::observe`] costs amortized O(1) on top
+//! of ADWIN, and reading the statistics costs O(m).
 
 use mswj_adwin::Adwin;
 use mswj_types::{Duration, SkewTracker, StreamIndex, Timestamp};
@@ -64,6 +72,19 @@ impl DelayHistogram {
         self.total += 1;
     }
 
+    /// Removes one raw delay observation previously [`add`](Self::add)ed.
+    /// Trailing empty buckets are dropped, so the histogram stays equal to
+    /// one built by [`from_delays`](Self::from_delays) over the remaining
+    /// observations.
+    pub(crate) fn remove(&mut self, delay: Duration) {
+        let bucket = self.bucket_of(delay);
+        self.counts[bucket] -= 1;
+        self.total -= 1;
+        while self.counts.last() == Some(&0) {
+            self.counts.pop();
+        }
+    }
+
     /// Maps a raw delay to its coarse bucket: 0 for in-order tuples, `d` for
     /// delays in `((d-1)·g, d·g]`.
     pub fn bucket_of(&self, delay: Duration) -> usize {
@@ -89,13 +110,18 @@ impl DelayHistogram {
         self.counts.iter().rposition(|&c| c > 0).unwrap_or(0)
     }
 
+    /// Number of observations in coarse bucket `d`.
+    pub(crate) fn count(&self, d: usize) -> u64 {
+        self.counts.get(d).copied().unwrap_or(0)
+    }
+
     /// Probability `Pr[D_i = d]` of coarse bucket `d` (the empirical pdf).
     pub fn probability(&self, d: usize) -> f64 {
         if self.total == 0 {
             // With no evidence assume perfectly ordered input.
             return if d == 0 { 1.0 } else { 0.0 };
         }
-        self.counts.get(d).copied().unwrap_or(0) as f64 / self.total as f64
+        self.count(d) as f64 / self.total as f64
     }
 
     /// Cumulative probability `Pr[D_i <= d]`.
@@ -121,49 +147,61 @@ struct DelaySample {
 struct StreamHistory {
     adwin: Adwin,
     samples: VecDeque<DelaySample>,
+    /// Delay histogram over exactly the retained `samples`.
+    histogram: DelayHistogram,
     delay_sum: u128,
     k_sync_sum: u128,
-    max_delay: Duration,
-    max_delay_dirty: bool,
+    /// The retained delays that a later, larger delay has not yet
+    /// outlived, oldest first: non-increasing, so the front is the
+    /// history's maximum delay.
+    max_candidates: VecDeque<Duration>,
 }
 
 impl StreamHistory {
-    fn new() -> Self {
+    fn new(granularity: Duration) -> Self {
         StreamHistory {
             // Checking the ADWIN cut on every arrival is unnecessarily
             // expensive at stream rates of hundreds of tuples per second;
             // every 32 arrivals is plenty for the drift scales of interest.
             adwin: Adwin::with_params(mswj_adwin::DEFAULT_DELTA, 5, 32),
             samples: VecDeque::new(),
+            histogram: DelayHistogram::empty(granularity),
             delay_sum: 0,
             k_sync_sum: 0,
-            max_delay: 0,
-            max_delay_dirty: false,
+            max_candidates: VecDeque::new(),
         }
     }
 
     fn record(&mut self, sample: DelaySample) {
         self.adwin.insert(sample.delay as f64);
         self.samples.push_back(sample);
+        self.histogram.add(sample.delay);
         self.delay_sum += sample.delay as u128;
         self.k_sync_sum += sample.k_sync as u128;
-        if sample.delay > self.max_delay {
-            self.max_delay = sample.delay;
+        while self
+            .max_candidates
+            .back()
+            .is_some_and(|&d| d < sample.delay)
+        {
+            self.max_candidates.pop_back();
         }
+        self.max_candidates.push_back(sample.delay);
         // Trim the history to the ADWIN window length (and the hard cap).
         let target = (self.adwin.len() as usize).clamp(1, MAX_HISTORY);
         while self.samples.len() > target {
             let old = self.samples.pop_front().expect("len checked");
+            self.histogram.remove(old.delay);
             self.delay_sum -= old.delay as u128;
             self.k_sync_sum -= old.k_sync as u128;
-            if old.delay == self.max_delay {
-                self.max_delay_dirty = true;
+            // An evicted delay still among the candidates is their oldest.
+            if self.max_candidates.front() == Some(&old.delay) {
+                self.max_candidates.pop_front();
             }
         }
-        if self.max_delay_dirty {
-            self.max_delay = self.samples.iter().map(|s| s.delay).max().unwrap_or(0);
-            self.max_delay_dirty = false;
-        }
+    }
+
+    fn max_delay(&self) -> Duration {
+        self.max_candidates.front().copied().unwrap_or(0)
     }
 
     fn k_sync_avg(&self) -> f64 {
@@ -188,7 +226,6 @@ impl StreamHistory {
 /// Runtime statistics provider feeding the analytical model (Sec. IV-A).
 #[derive(Debug, Clone)]
 pub struct StatisticsManager {
-    granularity: Duration,
     skew: SkewTracker,
     histories: Vec<StreamHistory>,
 }
@@ -197,9 +234,8 @@ impl StatisticsManager {
     /// Creates a manager for `m` streams with delay-bucket granularity `g`.
     pub fn new(m: usize, granularity: Duration) -> Self {
         StatisticsManager {
-            granularity: granularity.max(1),
             skew: SkewTracker::new(m),
-            histories: (0..m).map(|_| StreamHistory::new()).collect(),
+            histories: (0..m).map(|_| StreamHistory::new(granularity)).collect(),
         }
     }
 
@@ -217,13 +253,10 @@ impl StatisticsManager {
         delay
     }
 
-    /// The coarse-grained delay histogram of stream `i` built over its
-    /// current history window.
-    pub fn delay_histogram(&self, i: StreamIndex) -> DelayHistogram {
-        DelayHistogram::from_delays(
-            self.granularity,
-            self.histories[i.as_usize()].samples.iter().map(|s| s.delay),
-        )
+    /// The coarse-grained delay histogram of stream `i` over its current
+    /// history window, kept up to date on every arrival.
+    pub fn delay_histogram(&self, i: StreamIndex) -> &DelayHistogram {
+        &self.histories[i.as_usize()].histogram
     }
 
     /// The average measured `K_sync_i` within the history of stream `i`.
@@ -256,7 +289,7 @@ impl StatisticsManager {
     pub fn max_delay(&self) -> Duration {
         self.histories
             .iter()
-            .map(|h| h.max_delay)
+            .map(StreamHistory::max_delay)
             .max()
             .unwrap_or(0)
     }
@@ -285,6 +318,7 @@ impl StatisticsManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ts(ms: u64) -> Timestamp {
         Timestamp::from_millis(ms)
@@ -408,5 +442,66 @@ mod tests {
             sm.observe(StreamIndex(0), ts(t));
         }
         assert!(sm.history_len(StreamIndex(0)) <= MAX_HISTORY);
+    }
+
+    /// Asserts that the incrementally kept histogram and maximum delay of
+    /// every stream equal those rebuilt from the retained samples.
+    fn assert_matches_rebuild(sm: &StatisticsManager, g: Duration) {
+        for (i, history) in sm.histories.iter().enumerate() {
+            let max = history.samples.iter().map(|s| s.delay).max();
+            assert_eq!(history.max_delay(), max.unwrap_or(0), "stream {i}");
+            let kept = sm.delay_histogram(StreamIndex(i));
+            let rebuilt = DelayHistogram::from_delays(g, history.samples.iter().map(|s| s.delay));
+            assert_eq!(kept.total(), rebuilt.total(), "stream {i}");
+            assert_eq!(kept.max_bucket(), rebuilt.max_bucket(), "stream {i}");
+            for d in 0..=rebuilt.max_bucket() + 1 {
+                assert_eq!(kept.count(d), rebuilt.count(d), "stream {i} bucket {d}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// After any sequence of arrivals — through ADWIN cuts and, when the
+        /// steady prefix is long enough, the `MAX_HISTORY` cap — each kept
+        /// histogram equals `from_delays` over the retained samples, and
+        /// `MaxDH` their maximum.
+        #[test]
+        fn incremental_histogram_matches_rebuild(
+            g in 1u64..30,
+            capped in 0usize..2,
+            phases in proptest::collection::vec(
+                (0usize..2, 1u64..2_000, 0usize..4, 1u64..600),
+                1..8,
+            ),
+        ) {
+            let mut sm = StatisticsManager::new(2, g);
+            let mut clock = [0u64; 2];
+            // A steady in-order prefix long enough for ADWIN to keep growing
+            // until the hard cap trims the history.
+            let steady = capped * (MAX_HISTORY + 2_000);
+            for _ in 0..steady {
+                clock[0] += 10;
+                sm.observe(StreamIndex(0), ts(clock[0]));
+            }
+            if capped == 1 {
+                prop_assert_eq!(sm.history_len(StreamIndex(0)), MAX_HISTORY);
+            }
+            assert_matches_rebuild(&sm, g);
+            for (stream, len, pattern, amplitude) in phases {
+                for i in 0..len {
+                    clock[stream] += 10;
+                    let late = match pattern {
+                        0 => 0,
+                        1 => (i % 2) * amplitude,
+                        2 => (i * 7_919) % amplitude,
+                        _ => amplitude * 5,
+                    };
+                    sm.observe(StreamIndex(stream), ts(clock[stream].saturating_sub(late)));
+                }
+                assert_matches_rebuild(&sm, g);
+            }
+        }
     }
 }

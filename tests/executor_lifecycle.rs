@@ -8,23 +8,42 @@
 //!
 //! Thread-count assertions read `/proc/self/status` and therefore only run
 //! on Linux; everywhere else the tests still assert the behavioural part
-//! (no hang, clean drop, surfaced panic).  The counting tests serialize on
+//! (no hang, clean drop, surfaced panic).  Every test here serializes on
 //! a file-local lock — integration tests share one process, and a pool
 //! spawned by a concurrently running test would skew the count.
 
 use mswj::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 static THREAD_COUNT_LOCK: Mutex<()> = Mutex::new(());
 
-/// Live thread count of this process, if the platform exposes it.
+/// Test threads blocked on `THREAD_COUNT_LOCK`. The harness starts the next
+/// test on a new thread whenever a slot frees, which can be after the
+/// running test took its baseline; those threads are not the test's own
+/// and are left out of the count.
+static LOCK_WAITERS: AtomicUsize = AtomicUsize::new(0);
+
+fn lock_thread_count() -> MutexGuard<'static, ()> {
+    LOCK_WAITERS.fetch_add(1, Ordering::SeqCst);
+    let guard = THREAD_COUNT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    LOCK_WAITERS.fetch_sub(1, Ordering::SeqCst);
+    guard
+}
+
+/// Live thread count of this process, not counting threads waiting for
+/// `THREAD_COUNT_LOCK`, if the platform exposes it.
 fn thread_count() -> Option<usize> {
+    // Load the waiters first: each of them already exists when the status
+    // file is read.
+    let waiters = LOCK_WAITERS.load(Ordering::SeqCst);
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     status
         .lines()
         .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .map(|n| n.saturating_sub(waiters))
 }
 
 /// Polls until the process thread count drops back to `baseline` — worker
@@ -74,7 +93,7 @@ fn events(n: u64) -> Vec<ArrivalEvent> {
 
 #[test]
 fn workers_join_cleanly_on_drop_mid_stream() {
-    let _guard = THREAD_COUNT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = lock_thread_count();
     let baseline = thread_count();
     {
         let mut pipeline = pool_session(4);
@@ -94,7 +113,7 @@ fn workers_join_cleanly_on_drop_mid_stream() {
 
 #[test]
 fn repeated_finish_and_rebuild_cycles_leak_no_threads() {
-    let _guard = THREAD_COUNT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = lock_thread_count();
     let baseline = thread_count();
     for round in 0..16 {
         let mut pipeline = pool_session(1 + round % 4);
@@ -112,7 +131,7 @@ fn repeated_finish_and_rebuild_cycles_leak_no_threads() {
 
 #[test]
 fn panicking_worker_surfaces_as_error_not_hang() {
-    let _guard = THREAD_COUNT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = lock_thread_count();
     let baseline = thread_count();
     {
         // A predicate condition is unpartitionable (one broadcast shard),
@@ -168,7 +187,7 @@ fn panicking_worker_surfaces_as_error_not_hang() {
 
 #[test]
 fn killed_shard_server_surfaces_shard_lost_not_a_hang() {
-    let _guard = THREAD_COUNT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = lock_thread_count();
     let baseline = thread_count();
     let elapsed;
     {
@@ -240,6 +259,10 @@ fn sync_after_drop_boundary_is_idempotent() {
     // `finish_into` after heavy pipelined traffic: every deferred epoch is
     // collected exactly once, the report's counters reconcile, and a fresh
     // session can be built immediately after.
+    //
+    // The lock keeps this test's pool workers out of the thread-count
+    // baselines the other tests take.
+    let _guard = lock_thread_count();
     for _ in 0..3 {
         let mut pipeline = pool_session(3);
         let mut sink = CountingSink::default();

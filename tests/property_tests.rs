@@ -191,18 +191,30 @@ proptest! {
     }
 
     /// The analytical recall model always yields values in [0, 1] and is
-    /// monotone in K for a fixed selectivity ratio.
+    /// monotone in K for a fixed selectivity ratio, for any basic window `b`,
+    /// granularity `g` and `K_sync`: `b < g`, `b > g`, and `b`, `g` with
+    /// neither dividing the other.
     #[test]
-    fn recall_model_bounded_and_monotone(delays in proptest::collection::vec(0u64..2_000, 10..500)) {
+    fn recall_model_bounded_and_monotone(
+        delays in proptest::collection::vec(0u64..2_000, 10..500),
+        b_and_g in (0usize..3, 1u64..20, 1u64..20).prop_map(|(shape, x, y)| match shape {
+            0 => (x, x + y),
+            1 => (x + y, x),
+            _ => (2 * x + 1, 3 * x + 1),
+        }),
+        k_sync in proptest::collection::vec(0u64..500, 2),
+    ) {
+        let (b, g) = b_and_g;
+        let histograms = [
+            mswj::core::DelayHistogram::from_delays(g, delays.clone()),
+            mswj::core::DelayHistogram::from_delays(g, delays),
+        ];
         let inputs = mswj::core::ModelInputs {
             windows: vec![3_000, 3_000],
-            histograms: vec![
-                mswj::core::DelayHistogram::from_delays(10, delays.clone()),
-                mswj::core::DelayHistogram::from_delays(10, delays),
-            ],
-            k_sync: vec![0, 0],
-            basic_window: 10,
-            granularity: 10,
+            histograms: histograms.iter().collect(),
+            k_sync,
+            basic_window: b,
+            granularity: g,
         };
         let model = mswj::core::RecallModel::new(inputs);
         let mut last = 0.0f64;
