@@ -5,27 +5,22 @@
 //!
 //! * [`run_inline`] processes the batch on the calling thread, tuple by
 //!   tuple in staging order — the [`Sequential`](super::ExecutionBackend)
-//!   backend, the degenerate single-shard case of the parallel backends,
-//!   and the sub-threshold fallback both parallel backends take for small
-//!   batches.  It is generic over [`ShardAccess`] so the same loop serves
-//!   engine-owned shards (`Sequential`/`Threads`) and the mutex-held shards
-//!   of the resident pool.
-//! * [`run_threaded`] fans the queues out to one scoped worker per shard
-//!   (`std::thread::scope`), each draining its queue via [`drain_queue`]
-//!   into `(seq, …)`-tagged buffers.
-//! * The resident [`pool`](super::pool) workers run [`drain_queue`] too —
-//!   same inner loop, persistent threads.
+//!   backend and the pool's sub-threshold fallback for small batches.  It
+//!   is generic over [`ShardAccess`] so the same loop serves engine-owned
+//!   shards and the mutex-held shards of the resident pool.
+//! * The resident [`pool`](super::pool) workers and the shard server run
+//!   [`drain_queue`], which drains one shard's queue into `(seq, …)`-tagged
+//!   buffers.
 //!
 //! Whatever filled the buffers, [`merge_epoch`] replays them **in staging
 //! order, shard order within a tuple**, so the emitted event stream is
 //! deterministic regardless of thread scheduling.
 
 use super::replan::StreamTally;
-use super::{Decision, EngineEvent, Item, Placement, ShardRuntimeStats, SubOutcome};
+use super::{Decision, EngineEvent, Item, Placement, SubOutcome};
 use mswj_join::{JoinResult, MswjOperator, OperatorStats, ProbeOutcome};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Uniform mutable access to the shard operators, whether the engine owns
 /// them directly or they sit behind the pool's mutexes (uncontended at
@@ -34,27 +29,17 @@ use std::time::Instant;
 pub(super) trait ShardAccess {
     /// Runs `f` with exclusive access to shard `s`.
     fn with<R>(&mut self, s: usize, f: impl FnOnce(&mut MswjOperator) -> R) -> R;
-    /// Number of shards.
-    fn count(&self) -> usize;
 }
 
 impl ShardAccess for [MswjOperator] {
     fn with<R>(&mut self, s: usize, f: impl FnOnce(&mut MswjOperator) -> R) -> R {
         f(&mut self[s])
     }
-
-    fn count(&self) -> usize {
-        self.len()
-    }
 }
 
 impl ShardAccess for [Arc<Mutex<MswjOperator>>] {
     fn with<R>(&mut self, s: usize, f: impl FnOnce(&mut MswjOperator) -> R) -> R {
         f(&mut self[s].lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    fn count(&self) -> usize {
-        self.len()
     }
 }
 
@@ -142,7 +127,7 @@ pub(super) fn run_inline<S: ShardAccess + ?Sized>(
                 });
             }
             Placement::All => {
-                for (s, queue) in queues.iter_mut().enumerate().take(shards.count()) {
+                for (s, queue) in queues.iter_mut().enumerate() {
                     let item = queue.pop_front().expect("broadcast item");
                     shards.with(s, |shard| {
                         run_item(shard, item, &mut n_join, &mut indexed, f)
@@ -156,7 +141,7 @@ pub(super) fn run_inline<S: ShardAccess + ?Sized>(
 
 /// Drains one shard's queue in order, collecting `(seq, …)`-tagged
 /// sub-outcomes and materialized results — the inner loop shared by the
-/// scoped `Threads` workers and the resident pool workers.  Workers never
+/// resident pool workers and the shard server.  Workers never
 /// touch the caller's sink; determinism is restored by [`merge_epoch`].
 pub(super) fn drain_queue(
     shard: &mut MswjOperator,
@@ -179,39 +164,8 @@ pub(super) fn drain_queue(
     }
 }
 
-/// Parallel execution: one scoped worker per non-empty shard queue drains
-/// its queue into that shard's buffers, recording the worker's busy time in
-/// the shard's runtime counters.
-pub(super) fn run_threaded(
-    shards: &mut [MswjOperator],
-    queues: &mut [VecDeque<Item>],
-    sub: &mut [Vec<SubOutcome>],
-    mat: &mut [Vec<(u32, JoinResult)>],
-    runtime: &mut [ShardRuntimeStats],
-) {
-    std::thread::scope(|scope| {
-        for (((shard, queue), (sub_s, mat_s)), rt) in shards
-            .iter_mut()
-            .zip(queues.iter_mut())
-            .zip(sub.iter_mut().zip(mat.iter_mut()))
-            .zip(runtime.iter_mut())
-        {
-            if queue.is_empty() {
-                continue;
-            }
-            rt.epochs_enqueued += 1;
-            scope.spawn(move || {
-                let started = Instant::now();
-                drain_queue(shard, queue, sub_s, mat_s);
-                rt.busy_nanos += started.elapsed().as_nanos() as u64;
-                rt.epochs_executed += 1;
-            });
-        }
-    });
-}
-
-/// Replays the per-shard buffers filled by [`run_threaded`] or collected
-/// from the resident pool in staging order (shard order within each tuple),
+/// Replays the per-shard buffers collected from the pool or the remote
+/// shards in staging order (shard order within each tuple),
 /// emitting the same event stream [`run_inline`] would have produced.
 pub(super) fn merge_epoch(
     decisions: &[Decision],

@@ -32,13 +32,12 @@
 //!
 //! ## Executors
 //!
-//! Four backends share the routing front and the shard operators:
+//! Three backends share the routing front and the shard operators; the
+//! private `shards` module is the only code that knows where a backend
+//! keeps its shards:
 //!
 //! * [`ExecutionBackend::Sequential`] — one shard on the calling thread,
 //!   byte-identical to the pre-engine pipeline.
-//! * [`ExecutionBackend::Threads`]`(n)` — `n` scoped workers spawned per
-//!   batch (`std::thread::scope`); simple, but the spawn cost and the
-//!   per-batch barrier only pay off at large batches.
 //! * [`ExecutionBackend::Pool`] — `n` **resident** workers spawned once at
 //!   construction (the `pool` submodule), fed through bounded per-shard
 //!   queues of epoch-tagged tasks.  Batches are *pipelined*: [`JoinEngine::flush`]
@@ -57,11 +56,10 @@
 //!   unchanged; failures surface as typed [`EngineError`] panics, never as
 //!   hangs.
 //!
-//! The `Threads` and `Pool` backends fall back to the inline executor for
-//! batches below [`JoinEngine::SMALL_BATCH_THRESHOLD`] routed items, so
-//! single-event ingestion never pays a spawn or an enqueue round-trip.
-//! (`Remote` has no inline path — the operators live behind the
-//! transport.)
+//! The `Pool` backend falls back to the inline executor for batches below
+//! [`JoinEngine::SMALL_BATCH_THRESHOLD`] routed items, so single-event
+//! ingestion never pays an enqueue round-trip.  (`Remote` has no inline
+//! path — the operators live behind the transport.)
 //!
 //! Picking a backend and reading the per-shard counters:
 //!
@@ -76,26 +74,27 @@
 //! let cond = Arc::new(CommonKeyEquiJoin::new(&streams, "a1").unwrap());
 //! let query = JoinQuery::new("doc", streams, cond).unwrap();
 //!
-//! // Threads(4): four shards, scoped workers per batch — best for large,
-//! // bursty batches.  Pool { workers: 4 } keeps resident workers and
-//! // pipelines batches instead; Sequential is the single-shard reference.
-//! let backend = ExecutionBackend::Threads(4);
+//! // Pool { workers: 4 }: four shards on resident workers, batches
+//! // pipelined against routing; Sequential is the single-shard reference.
+//! let backend = ExecutionBackend::Pool { workers: 4 };
 //! let mut engine = JoinEngine::new(query, ProbeStrategy::Auto, false, backend);
 //! assert_eq!(engine.shard_count(), 4);
 //!
 //! let mut matches = 0u64;
+//! let mut count = |ev: EngineEvent<'_>| {
+//!     if let EngineEvent::Done(outcome) = ev {
+//!         matches += outcome.n_join;
+//!     }
+//! };
 //! engine.push_batch(
 //!     (0..100u64).map(|i| {
 //!         let (stream, key) = ((i % 2) as usize, (i / 2 % 8) as i64);
 //!         Tuple::new(stream.into(), i, Timestamp::from_millis(i * 10), vec![Value::Int(key)])
 //!     }),
-//!     &mut |ev| {
-//!         if let EngineEvent::Done(outcome) = ev {
-//!             matches += outcome.n_join;
-//!         }
-//!     },
+//!     &mut count,
 //! );
-//! engine.sync(&mut |_| {});
+//! // The pool defers this large batch as an epoch; sync delivers its events.
+//! engine.sync(&mut count);
 //! assert!(matches > 0);
 //!
 //! // ShardRuntimeStats: routing volume and queue pressure per shard — the
@@ -112,8 +111,8 @@
 //!
 //! Events are emitted in staging order; a broadcast tuple's results are
 //! merged in shard order.  The [`ExecutionBackend::Sequential`] backend is
-//! byte-identical to the pre-engine pipeline; `Threads(n)`,
-//! `Pool { workers: n }` and `Remote` produce the same result multiset
+//! byte-identical to the pre-engine pipeline; `Pool { workers: n }` and
+//! `Remote` produce the same result multiset
 //! (and, because `n_x(e)` is computed globally, the same adaptation
 //! trajectory) for any `n` — pinned by `tests/differential_backends.rs`.
 //!
@@ -127,7 +126,7 @@
 //! * **Detection** is always on: when one shard takes the majority of an
 //!   evaluation window's routed items, a warning is logged (re-armed once
 //!   the imbalance clears, so late-emerging hot keys are reported too).
-//! * **Splitting** is opt-in ([`JoinEngine::with_skew`], or
+//! * **Splitting** is opt-in ([`JoinEngine::try_with_policies`], or
 //!   `SessionBuilder::skew_splitting` through the pipeline): a detected hot
 //!   key class switches to *replicated build / split probe* routing — its
 //!   inserts fan out to every shard's build state, each of its probes runs
@@ -144,28 +143,33 @@
 //! Conditions without a partitionable equi structure (cross joins, band
 //! joins, UDFs, or an explicitly forced nested-loop probe) degrade to one
 //! broadcast shard: same semantics, no parallelism.
+//!
+//! [`MswjOperator`]: mswj_join::MswjOperator
+//! [`MswjOperator::insert_late`]: mswj_join::MswjOperator::insert_late
 
 mod exec;
 mod occupancy;
 mod pool;
 pub mod replan;
+mod shards;
 pub mod skew;
 pub mod transport;
 
 use mswj_join::{
-    join_key_hash, JoinQuery, JoinResult, MswjOperator, OperatorStats, Partitioner, ProbeOutcome,
-    ProbePlan, ProbeStrategy, Route, RoutingTable,
+    join_key_hash, JoinQuery, JoinResult, OperatorStats, Partitioner, ProbeOutcome, ProbePlan,
+    ProbeStrategy, Route, RoutingTable,
 };
 use mswj_obs::{EventKind, ShardInstruments, Telemetry, TelemetryEvent};
 use mswj_types::{Error, StreamIndex, Timestamp, Tuple};
 use occupancy::Occupancy;
-use pool::{Epoch, ShardPool, Task};
+use pool::Epoch;
 use replan::{reorder_candidate, reorder_is_decisive, ReplanState, StreamTally};
 pub use replan::{PlanAction, PlanTransition, ReplanConfig};
+pub use shards::ShardGuard;
+use shards::ShardSet;
 use skew::SkewDetector;
 pub use skew::{SkewConfig, SkewTransition};
 use std::collections::VecDeque;
-use transport::RemoteShards;
 pub use transport::{Endpoint, EngineError};
 
 /// How the sharded join stage executes a routed batch.
@@ -175,17 +179,11 @@ pub enum ExecutionBackend {
     /// pipeline, and the default.
     #[default]
     Sequential,
-    /// `n` shards executed by `n` scoped worker threads per batch
-    /// (`std::thread::scope`), outputs merged in deterministic shard order.
-    /// `Threads(1)` exercises the sharded machinery on a single shard and
-    /// is equivalent to `Sequential`.
-    Threads(usize),
     /// `workers` shards executed by `workers` **resident** worker threads
     /// spawned once at construction and fed through bounded per-shard work
-    /// queues, with batches pipelined against front-end routing.  Same
-    /// output as `Sequential` for any worker count; preferable to
-    /// [`ExecutionBackend::Threads`] whenever batches are small or arrive
-    /// continuously.
+    /// queues, with batches pipelined against front-end routing; outputs
+    /// merge in deterministic shard order.  Same output as `Sequential`
+    /// for any worker count.
     Pool {
         /// Number of resident shard workers (and shards).
         workers: usize,
@@ -196,8 +194,8 @@ pub enum ExecutionBackend {
     /// socket endpoint.  Reuses the pool's depth-1 epoch/barrier pipeline,
     /// so output stays byte-identical to [`ExecutionBackend::Sequential`];
     /// requires a wire-expressible join condition (no closure predicates).
-    /// Construct through [`JoinEngine::try_new`] / `SessionBuilder` to get
-    /// connection errors as `Result`s.
+    /// Construct through [`JoinEngine::try_with_policies`] / `SessionBuilder`
+    /// to get connection errors as `Result`s.
     Remote {
         /// Where each shard server lives; one shard per entry.
         endpoints: Vec<Endpoint>,
@@ -219,7 +217,6 @@ impl ExecutionBackend {
     pub fn requested_shards(&self) -> usize {
         match self {
             ExecutionBackend::Sequential => 1,
-            ExecutionBackend::Threads(n) => (*n).max(1),
             ExecutionBackend::Pool { workers } => (*workers).max(1),
             ExecutionBackend::Remote { endpoints } => endpoints.len().max(1),
         }
@@ -230,7 +227,6 @@ impl std::fmt::Display for ExecutionBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecutionBackend::Sequential => write!(f, "sequential"),
-            ExecutionBackend::Threads(n) => write!(f, "threads({n})"),
             ExecutionBackend::Pool { workers } => write!(f, "pool({workers})"),
             ExecutionBackend::Remote { endpoints } => write!(f, "remote({})", endpoints.len()),
         }
@@ -305,8 +301,9 @@ pub struct ShardRuntimeStats {
     /// staged for this shard before an executor drained them.
     pub max_queue_depth: usize,
     /// Epochs (routed batches) handed to this shard's worker — resident
-    /// pool tasks or scoped `Threads` batches.  Inline execution (the
-    /// `Sequential` backend and sub-threshold fallbacks) enqueues nothing.
+    /// pool tasks or remote task frames.  Inline execution (the
+    /// `Sequential` backend and the pool's sub-threshold fallback) enqueues
+    /// nothing.
     pub epochs_enqueued: u64,
     /// Epochs the shard's worker finished executing.
     pub epochs_executed: u64,
@@ -360,35 +357,7 @@ pub struct ShardStats {
     pub runtime: ShardRuntimeStats,
 }
 
-/// Read access to one shard operator, independent of where the backend
-/// keeps it: borrowed directly from the engine (`Sequential`/`Threads`) or
-/// locked out of a resident pool worker's cell (`Pool`, waiting for the
-/// shard's submitted epochs to finish first).
-pub struct ShardGuard<'a>(GuardInner<'a>);
-
-enum GuardInner<'a> {
-    Direct(&'a MswjOperator),
-    Locked(std::sync::MutexGuard<'a, MswjOperator>),
-}
-
-impl std::ops::Deref for ShardGuard<'_> {
-    type Target = MswjOperator;
-
-    fn deref(&self) -> &MswjOperator {
-        match &self.0 {
-            GuardInner::Direct(op) => op,
-            GuardInner::Locked(guard) => guard,
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardGuard<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// One submitted-but-uncollected epoch of the resident pool.
+/// One submitted-but-uncollected epoch of the pipeline.
 struct PendingEpoch {
     epoch: Epoch,
     /// The epoch's routing decisions, in staging order (consumed by the
@@ -404,13 +373,8 @@ struct PendingEpoch {
 
 /// The sharded join stage: routing front plus `n` shard operators.
 pub struct JoinEngine {
-    /// Engine-owned shard operators (`Sequential`/`Threads`); empty when
-    /// the resident pool owns them instead.
-    shards: Vec<MswjOperator>,
-    /// The resident executor (`Pool` backend only).
-    pool: Option<ShardPool>,
-    /// The transport links to remote shard servers (`Remote` backend only).
-    remote: Option<RemoteShards>,
+    /// The shard operators, wherever the backend keeps them.
+    shards: ShardSet,
     partitioner: Partitioner,
     backend: ExecutionBackend,
     query: JoinQuery,
@@ -420,6 +384,8 @@ pub struct JoinEngine {
     started: bool,
     occupancy: Occupancy,
     stats: OperatorStats,
+    /// Executor runtime counters, one slot per shard: its length is the
+    /// shard count.
     runtime: Vec<ShardRuntimeStats>,
     /// Which key classes are currently replicated-build / split-probe.
     table: RoutingTable,
@@ -457,13 +423,12 @@ pub struct JoinEngine {
     queues: Vec<VecDeque<Item>>,
     sub: Vec<Vec<SubOutcome>>,
     mat: Vec<Vec<(u32, JoinResult)>>,
-    /// The deferred epoch of the pipelined `Pool` path, if any.
+    /// The deferred epoch of the pipelined `Pool`/`Remote` path, if any.
     outstanding: Option<PendingEpoch>,
     next_epoch: u64,
     /// Recycled buffers for the depth-1 epoch pipeline.
     spare_decisions: Vec<Decision>,
     spare_mask: Vec<bool>,
-    spare_items: Vec<VecDeque<Item>>,
     /// The attached telemetry registry, if any.  Strictly observe-only:
     /// nothing the engine reads from it feeds back into routing, merging
     /// or plan decisions, so an attached handle cannot change a produced
@@ -494,10 +459,10 @@ impl std::fmt::Debug for JoinEngine {
 }
 
 impl JoinEngine {
-    /// Routed-item count below which the parallel backends execute a batch
-    /// inline on the calling thread: spawning (`Threads`) or enqueueing
-    /// (`Pool`) costs more than it buys on tiny batches, and the inline
-    /// path is allocation-free in steady state.
+    /// Routed-item count below which the `Pool` backend executes a batch
+    /// inline on the calling thread: enqueueing costs more than it buys on
+    /// tiny batches, and the inline path is allocation-free in steady
+    /// state.
     pub const SMALL_BATCH_THRESHOLD: usize = 32;
 
     /// Minimum routed-item count in a detection window before skew
@@ -505,79 +470,52 @@ impl JoinEngine {
     const SKEW_MIN_ROUTED: u64 = 1_024;
 
     /// Builds the engine for a query: plans the probe path, derives the
-    /// partitioning rules and instantiates one [`MswjOperator`] per shard.
+    /// partitioning rules and instantiates one
+    /// [`MswjOperator`](mswj_join::MswjOperator) per shard.
     /// The `Pool` backend also spawns its resident workers here — they live
     /// until the engine is dropped.
     ///
     /// Unpartitionable plans (nested-loop probes) always get exactly one
-    /// shard, whatever the backend requests.
+    /// shard, whatever the backend requests.  Infallible shorthand for
+    /// [`JoinEngine::try_with_policies`] with neither policy armed; panics
+    /// where that returns an error (remote backend setup).
     pub fn new(
         query: JoinQuery,
         strategy: ProbeStrategy,
         enumerate: bool,
         backend: ExecutionBackend,
     ) -> Self {
-        Self::with_skew(query, strategy, enumerate, backend, None)
+        Self::try_with_policies(query, strategy, enumerate, backend, None, None)
+            .expect("remote backend setup failed (use try_with_policies for a Result)")
     }
 
-    /// Fallible form of [`JoinEngine::new`] — the only way remote-backend
-    /// connection and validation failures surface as `Result`s rather than
-    /// panics.  Infallible for the local backends.
-    pub fn try_new(
-        query: JoinQuery,
-        strategy: ProbeStrategy,
-        enumerate: bool,
-        backend: ExecutionBackend,
-    ) -> Result<Self, Error> {
-        Self::try_with_skew(query, strategy, enumerate, backend, None)
-    }
-
-    /// Like [`JoinEngine::new`], with adaptive hot-key splitting armed when
-    /// `skew` is `Some`: key classes crossing
-    /// [`SkewConfig::split_share`] of a detection window switch to
-    /// replicated-build / split-probe routing (and revert below
-    /// [`SkewConfig::unsplit_share`]).  Detection windows are evaluated at
-    /// [`JoinEngine::sync`] barriers only, so routing never changes while
-    /// work is in flight and every backend takes identical decisions.
+    /// Builds the engine like [`JoinEngine::new`], with two opt-in runtime
+    /// policies, and returns remote setup failures as `Result`s.
     ///
-    /// The knob is ignored (no detector is armed) when the plan cannot
-    /// split soundly — broadcast streams or a single shard; see
-    /// [`Partitioner::supports_splitting`].
-    pub fn with_skew(
-        query: JoinQuery,
-        strategy: ProbeStrategy,
-        enumerate: bool,
-        backend: ExecutionBackend,
-        skew: Option<SkewConfig>,
-    ) -> Self {
-        Self::try_with_skew(query, strategy, enumerate, backend, skew)
-            .expect("remote backend setup failed (use try_with_skew for a Result)")
-    }
-
-    /// Fallible form of [`JoinEngine::with_skew`].  The `Remote` backend
-    /// validates its endpoint list, requires a wire-expressible join
-    /// condition, and connects + handshakes with every shard server here —
-    /// each failure comes back as [`Error::InvalidConfig`].  The local
-    /// backends never fail.
-    pub fn try_with_skew(
-        query: JoinQuery,
-        strategy: ProbeStrategy,
-        enumerate: bool,
-        backend: ExecutionBackend,
-        skew: Option<SkewConfig>,
-    ) -> Result<Self, Error> {
-        Self::try_with_policies(query, strategy, enumerate, backend, skew, None)
-    }
-
-    /// Like [`JoinEngine::try_with_skew`], additionally arming runtime
-    /// probe re-planning when `replan` is `Some`: at the same idle barriers
-    /// the skew layer uses, the engine may re-select the star partition
-    /// pair to the lowest observed-cardinality satellite (migrating window
-    /// state), reorder the m-way probe chain by observed match rates, or
-    /// demote the hash index to the nested-loop scan when the fallback
-    /// share shows maintenance stopped paying.  Every revision lands in
-    /// [`JoinEngine::plan_transitions`]; all decisions come from
-    /// engine-global statistics, so they are identical on every backend.
+    /// With `skew`, adaptive hot-key splitting is armed: key classes
+    /// crossing [`SkewConfig::split_share`] of a detection window switch to
+    /// replicated-build / split-probe routing (and revert below
+    /// [`SkewConfig::unsplit_share`]).  The knob is ignored (no detector is
+    /// armed) when the plan cannot split soundly — broadcast streams or a
+    /// single shard; see [`Partitioner::supports_splitting`].
+    ///
+    /// With `replan`, runtime probe re-planning is armed: the engine may
+    /// re-select the star partition pair to the heaviest observed-cardinality
+    /// satellite (migrating window state), reorder the m-way probe chain by
+    /// observed match rates, or demote the hash index to the nested-loop
+    /// scan when the fallback share shows maintenance stopped paying.  Every
+    /// revision lands in [`JoinEngine::plan_transitions`].
+    ///
+    /// Both policies decide at [`JoinEngine::sync`] barriers only, from
+    /// engine-global statistics, so routing never changes while work is in
+    /// flight and every backend takes identical decisions.
+    ///
+    /// # Errors
+    ///
+    /// The `Remote` backend validates its endpoint list, requires a
+    /// wire-expressible join condition, and connects + handshakes with
+    /// every shard server here — each failure comes back as
+    /// [`Error::InvalidConfig`].  The local backends never fail.
     pub fn try_with_policies(
         query: JoinQuery,
         strategy: ProbeStrategy,
@@ -590,45 +528,7 @@ impl JoinEngine {
         let plan = ProbePlan::new(strategy, equi.as_ref());
         let partitioner = Partitioner::new(&plan, backend.requested_shards());
         let n = partitioner.shard_count();
-        let (shards, pool, remote) = match &backend {
-            ExecutionBackend::Pool { .. } => {
-                let operators = (0..n)
-                    .map(|_| MswjOperator::with_probe(query.clone(), strategy, enumerate))
-                    .collect();
-                (Vec::new(), Some(ShardPool::new(operators)), None)
-            }
-            ExecutionBackend::Remote { endpoints } => {
-                if endpoints.is_empty() {
-                    return Err(Error::InvalidConfig(
-                        "the remote backend needs at least one endpoint".into(),
-                    ));
-                }
-                let descriptor = query.condition().descriptor().ok_or_else(|| {
-                    Error::InvalidConfig(format!(
-                        "join condition `{}` cannot cross a process boundary \
-                         (closure predicates have no wire form); use a declarative \
-                         condition or a local backend",
-                        query.condition().describe()
-                    ))
-                })?;
-                // Unpartitionable plans collapse to one shard; connect only
-                // to the endpoints that will actually carry work.
-                let links = RemoteShards::connect(
-                    &endpoints[..n.min(endpoints.len())],
-                    &query,
-                    &descriptor,
-                    strategy,
-                    enumerate,
-                )?;
-                (Vec::new(), None, Some(links))
-            }
-            _ => {
-                let operators = (0..n)
-                    .map(|_| MswjOperator::with_probe(query.clone(), strategy, enumerate))
-                    .collect();
-                (operators, None, None)
-            }
-        };
+        let shards = ShardSet::new(&query, strategy, enumerate, &backend, n)?;
         let detector = skew
             .filter(|_| partitioner.supports_splitting())
             .map(SkewDetector::new);
@@ -637,8 +537,6 @@ impl JoinEngine {
         let star_partner = Partitioner::default_star_partner(&plan);
         Ok(JoinEngine {
             shards,
-            pool,
-            remote,
             partitioner,
             backend,
             plan,
@@ -667,7 +565,6 @@ impl JoinEngine {
             next_epoch: 1,
             spare_decisions: Vec::new(),
             spare_mask: Vec::new(),
-            spare_items: (0..n).map(|_| VecDeque::new()).collect(),
             telemetry: None,
             shard_scopes: Vec::new(),
             last_publish: None,
@@ -758,13 +655,7 @@ impl JoinEngine {
     /// Number of shards actually instantiated (1 for unpartitionable
     /// plans, the backend's request otherwise).
     pub fn shard_count(&self) -> usize {
-        if self.remote.is_some() {
-            return self.runtime.len();
-        }
-        match &self.pool {
-            Some(pool) => pool.shard_count(),
-            None => self.shards.len(),
-        }
+        self.runtime.len()
     }
 
     /// The shard operator at `s` — windows, hash indexes and per-shard
@@ -772,16 +663,12 @@ impl JoinEngine {
     /// waits for the shard's submitted epochs to finish executing; call
     /// [`JoinEngine::sync`] first when you also need their *events*
     /// delivered.
+    ///
+    /// # Panics
+    ///
+    /// On the `Remote` backend, whose operators live in another process.
     pub fn shard(&self, s: usize) -> ShardGuard<'_> {
-        assert!(
-            self.remote.is_none(),
-            "shard operators live in another process on the remote backend; \
-             use shard_stats() for their counters"
-        );
-        match &self.pool {
-            Some(pool) => ShardGuard(GuardInner::Locked(pool.lock_shard(s))),
-            None => ShardGuard(GuardInner::Direct(&self.shards[s])),
-        }
+        self.shards.guard(s)
     }
 
     /// Per-shard lifetime statistics: each shard operator's own
@@ -791,15 +678,7 @@ impl JoinEngine {
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         (0..self.shard_count())
             .map(|s| {
-                let (operator, window_bytes, window_segments) = match &self.remote {
-                    // Remote window state lives in the server process; the
-                    // barrier reply carries its footprint back to us.
-                    Some(remote) => remote.barrier_stats(s),
-                    None => {
-                        let shard = self.shard(s);
-                        (shard.stats(), shard.window_bytes(), shard.window_segments())
-                    }
-                };
+                let (operator, window_bytes, window_segments) = self.shards.barrier_stats(s);
                 let mut runtime = self.runtime_stats(s);
                 runtime.window_bytes = window_bytes;
                 runtime.window_segments = window_segments;
@@ -812,9 +691,7 @@ impl JoinEngine {
     /// counters on the `Remote` backend.
     pub fn runtime_stats(&self, s: usize) -> ShardRuntimeStats {
         let mut rt = self.runtime[s];
-        if let Some(remote) = &self.remote {
-            remote.fold_runtime(s, &mut rt);
-        }
+        self.shards.fold_runtime(s, &mut rt);
         rt
     }
 
@@ -1001,74 +878,25 @@ impl JoinEngine {
         if self.decisions.is_empty() {
             return;
         }
-        if self.remote.is_some() {
-            // Remote shards have no inline fallback — the operators live
-            // behind the transport, whatever the batch size — so every batch
-            // takes the epoch pipeline.
+        let items: usize = self.queues.iter().map(VecDeque::len).sum();
+        if self.shards.pipelines(items) {
             self.submit_epoch();
             if barrier {
                 self.collect_outstanding(f);
             }
-            return;
-        }
-        let items: usize = self.queues.iter().map(VecDeque::len).sum();
-        let small = items < Self::SMALL_BATCH_THRESHOLD;
-        if self.pool.is_some() {
-            if small {
-                // Sub-threshold fallback: run on the calling thread against
-                // the (idle) pool shards — no enqueue round-trip, no
-                // allocation in steady state.
-                let JoinEngine {
-                    pool,
-                    queues,
-                    decisions,
-                    stats,
-                    tally,
-                    ..
-                } = self;
-                let pool = pool.as_mut().expect("checked above");
-                exec::run_inline(pool.shards_mut(), queues, decisions, stats, tally, f);
-                self.decisions.clear();
-            } else {
-                self.submit_epoch();
-                if barrier {
-                    self.collect_outstanding(f);
-                }
-            }
-            return;
-        }
-        let threaded =
-            matches!(self.backend, ExecutionBackend::Threads(_)) && self.shards.len() > 1 && !small;
-        if threaded {
-            exec::run_threaded(
-                &mut self.shards,
-                &mut self.queues,
-                &mut self.sub,
-                &mut self.mat,
-                &mut self.runtime,
-            );
-            exec::merge_epoch(
-                &self.decisions,
-                &mut self.sub,
-                &mut self.mat,
-                &mut self.stats,
-                &mut self.tally,
-                f,
-            );
         } else {
-            exec::run_inline(
-                self.shards.as_mut_slice(),
+            self.shards.run_inline(
                 &mut self.queues,
                 &self.decisions,
                 &mut self.stats,
                 &mut self.tally,
                 f,
             );
+            self.decisions.clear();
         }
-        self.decisions.clear();
     }
 
-    /// Ships the routed queues to the resident workers as one epoch and
+    /// Ships the routed queues to the pipelined shards as one epoch and
     /// records it as outstanding.  Buffers travel with the tasks and come
     /// back at collection, so the steady-state round-trip allocates
     /// nothing.
@@ -1085,24 +913,14 @@ impl JoinEngine {
             }
             mask[s] = true;
             self.runtime[s].epochs_enqueued += 1;
-            if let Some(remote) = &mut self.remote {
-                // The queue is drained in place (capacity retained); the
-                // items are consumed by encoding, nothing travels back.
-                remote.submit(s, epoch.0, routing_epoch, queue);
-                continue;
-            }
-            let items = std::mem::replace(queue, std::mem::take(&mut self.spare_items[s]));
-            let task = Task {
+            self.shards.submit(
+                s,
                 epoch,
-                items,
-                sub: std::mem::take(&mut self.sub[s]),
-                mat: std::mem::take(&mut self.mat[s]),
                 routing_epoch,
-            };
-            self.pool
-                .as_mut()
-                .expect("submit_epoch requires a worker-backed backend")
-                .submit(s, task);
+                queue,
+                &mut self.sub[s],
+                &mut self.mat[s],
+            );
         }
         let decisions = std::mem::replace(
             &mut self.decisions,
@@ -1117,8 +935,8 @@ impl JoinEngine {
     }
 
     /// Collects the deferred epoch's outputs in shard order, re-raises any
-    /// worker panic, merges the buffers into the deterministic event stream
-    /// and recycles every buffer for the next epoch.
+    /// shard failure, merges the buffers into the deterministic event
+    /// stream and recycles every buffer for the next epoch.
     fn collect_outstanding(&mut self, f: &mut dyn FnMut(EngineEvent<'_>)) {
         let Some(mut pend) = self.outstanding.take() else {
             return;
@@ -1132,33 +950,15 @@ impl JoinEngine {
                 self.table.epoch(),
                 "routing transitions must wait for the outstanding epoch"
             );
-            if let Some(remote) = &mut self.remote {
-                let info = remote.collect(s, pend.epoch.0, &mut self.sub[s], &mut self.mat[s]);
-                debug_assert_eq!(
-                    info.routing_epoch, pend.routing_epoch,
-                    "routing changed while an epoch was in flight"
-                );
-                self.runtime[s].busy_nanos += info.busy_nanos;
-                self.runtime[s].epochs_executed += 1;
-                continue;
-            }
-            let out = self
-                .pool
-                .as_mut()
-                .expect("an outstanding epoch implies a worker-backed backend")
-                .collect(s, pend.epoch);
+            let info = self
+                .shards
+                .collect(s, pend.epoch, &mut self.sub[s], &mut self.mat[s]);
             debug_assert_eq!(
-                out.routing_epoch, pend.routing_epoch,
+                info.routing_epoch, pend.routing_epoch,
                 "routing changed while an epoch was in flight"
             );
-            self.runtime[s].busy_nanos += out.busy_nanos;
+            self.runtime[s].busy_nanos += info.busy_nanos;
             self.runtime[s].epochs_executed += 1;
-            self.spare_items[s] = out.items;
-            self.sub[s] = out.sub;
-            self.mat[s] = out.mat;
-            if let Some(payload) = out.panic {
-                std::panic::resume_unwind(payload);
-            }
         }
         exec::merge_epoch(
             &pend.decisions,
@@ -1442,29 +1242,12 @@ impl JoinEngine {
                 debug_assert!(false, "split routing requires key-routed streams");
                 continue;
             };
-            let class: Vec<Tuple> = match &mut self.remote {
-                Some(remote) => remote.fetch_class(home, i as u64, col as u64, hash),
-                None => self
-                    .shard(home)
-                    .window(StreamIndex(i))
-                    .iter()
-                    .filter(|t| join_key_hash(t.value(col)) == hash)
-                    .cloned()
-                    .collect(),
-            };
+            let class = self.shards.fetch_class(home, i, col, hash);
             if class.is_empty() {
                 continue;
             }
             for s in (0..n).filter(|&s| s != home) {
-                if let Some(remote) = &mut self.remote {
-                    remote.adopt(s, &class);
-                    continue;
-                }
-                self.with_shard_mut(s, |op| {
-                    for t in &class {
-                        op.adopt(t.clone());
-                    }
-                });
+                self.shards.adopt(s, &class);
             }
         }
     }
@@ -1482,13 +1265,7 @@ impl JoinEngine {
                 let Some(col) = self.partitioner.column(i) else {
                     continue;
                 };
-                if let Some(remote) = &mut self.remote {
-                    remote.purge_class(s, i as u64, col as u64, hash);
-                    continue;
-                }
-                self.with_shard_mut(s, |op| {
-                    op.evict_where(StreamIndex(i), |t| join_key_hash(t.value(col)) != hash)
-                });
+                self.shards.purge_class(s, i, col, hash);
             }
         }
     }
@@ -1594,10 +1371,13 @@ impl JoinEngine {
         let next =
             Partitioner::with_star_partner(&self.plan, self.backend.requested_shards(), Some(to));
         debug_assert_eq!(next.shard_count(), n, "a pair switch never re-shards");
-        let from_slices: Vec<Vec<Tuple>> = (0..n).map(|s| self.fetch_window_of(s, from)).collect();
+        let from_slices: Vec<Vec<Tuple>> =
+            (0..n).map(|s| self.shards.fetch_window(s, from)).collect();
         let anchor_rekeyed = self.partitioner.column(anchor) != next.column(anchor);
         let anchor_snaps: Vec<Vec<Tuple>> = if anchor_rekeyed {
-            (0..n).map(|s| self.fetch_window_of(s, anchor)).collect()
+            (0..n)
+                .map(|s| self.shards.fetch_window(s, anchor))
+                .collect()
         } else {
             Vec::new()
         };
@@ -1616,14 +1396,14 @@ impl JoinEngine {
             .column(to)
             .expect("the partner satellite is key-routed");
         for s in 0..n {
-            self.retain_home_slice(s, to, to_col, n);
+            self.shards.retain(s, to, to_col, n);
         }
         // Anchor: retain by new home, then deliver each misplaced tuple to
         // the shard that now owns it.
         if anchor_rekeyed {
             let col = next.column(anchor).expect("the anchor is key-routed");
             for s in 0..n {
-                self.retain_home_slice(s, anchor, col, n);
+                self.shards.retain(s, anchor, col, n);
             }
             for (s, snap) in anchor_snaps.iter().enumerate() {
                 for target in (0..n).filter(|&t| t != s) {
@@ -1707,84 +1487,27 @@ impl JoinEngine {
     }
 
     /// Applies a probe reorder and/or index demotion to every shard
-    /// operator, local or remote (an empty `order` leaves the order
-    /// unchanged, matching the wire frame's contract).
+    /// operator (an empty `order` leaves the order unchanged, matching the
+    /// wire frame's contract).
     fn apply_revision(&mut self, order: &[usize], demote: bool) {
-        let n = self.shard_count();
-        for s in 0..n {
-            if let Some(remote) = &mut self.remote {
-                remote.revise(s, order, demote);
-            } else {
-                self.with_shard_mut(s, |op| {
-                    if !order.is_empty() {
-                        op.set_probe_order(order.to_vec());
-                    }
-                    if demote {
-                        op.demote_index();
-                    }
-                });
-            }
+        for s in 0..self.shard_count() {
+            self.shards.revise(s, order, demote);
             self.runtime[s].plan_revisions += 1;
         }
-    }
-
-    /// Snapshots the full live window of `stream` on shard `s`.
-    fn fetch_window_of(&mut self, s: usize, stream: usize) -> Vec<Tuple> {
-        if let Some(remote) = &mut self.remote {
-            return remote.fetch_window(s, stream as u64);
-        }
-        self.shard(s)
-            .window(StreamIndex(stream))
-            .iter()
-            .cloned()
-            .collect()
     }
 
     /// Adopts `tuples` into shard `s`'s windows (each tuple lands in its
     /// own stream's window), counting them as migrated.
     fn adopt_into(&mut self, s: usize, tuples: &[Tuple]) {
         self.runtime[s].migrated_tuples += tuples.len() as u64;
-        if let Some(remote) = &mut self.remote {
-            remote.adopt(s, tuples);
-            return;
-        }
-        self.with_shard_mut(s, |op| {
-            for t in tuples {
-                op.adopt(t.clone());
-            }
-        });
-    }
-
-    /// Drops every tuple of `stream` on shard `s` whose join key (in
-    /// `col`) no longer homes there — the local/remote-agnostic retain
-    /// pass of a pair switch.
-    fn retain_home_slice(&mut self, s: usize, stream: usize, col: usize, shards: usize) {
-        if let Some(remote) = &mut self.remote {
-            remote.retain(s, stream as u64, col as u64, shards as u64, s as u64);
-            return;
-        }
-        self.with_shard_mut(s, |op| {
-            op.evict_where(StreamIndex(stream), |t| {
-                join_key_hash(t.value(col)) % shards as u64 == s as u64
-            });
-        });
-    }
-
-    /// Mutable access to one shard operator, wherever the backend keeps it.
-    /// On the `Pool` backend this locks the worker's cell (the worker is
-    /// idle at every call site: state surgery only happens at barriers).
-    fn with_shard_mut<R>(&mut self, s: usize, f: impl FnOnce(&mut MswjOperator) -> R) -> R {
-        match &mut self.pool {
-            Some(pool) => f(&mut pool.lock_shard(s)),
-            None => f(&mut self.shards[s]),
-        }
+        self.shards.adopt(s, tuples);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mswj_join::{CommonKeyEquiJoin, StarEquiJoin};
+    use mswj_join::{CommonKeyEquiJoin, MswjOperator, StarEquiJoin};
     use mswj_types::{FieldType, Schema, StreamSet, StreamSpec, Value};
     use std::sync::Arc;
 
@@ -1865,9 +1588,7 @@ mod tests {
             .collect();
         let (seq_res, seq_out, seq_stats) = run(ExecutionBackend::Sequential, true, &tuples);
         let backends = [
-            ExecutionBackend::Threads(1),
-            ExecutionBackend::Threads(3),
-            ExecutionBackend::Threads(4),
+            ExecutionBackend::Pool { workers: 3 },
             ExecutionBackend::Pool { workers: 1 },
             ExecutionBackend::Pool { workers: 4 },
             // Every epoch round-trips through the wire codec (in-process
@@ -1912,7 +1633,7 @@ mod tests {
             equi_query(2, 500),
             ProbeStrategy::Auto,
             false,
-            ExecutionBackend::Threads(4),
+            ExecutionBackend::Pool { workers: 4 },
         );
         assert_eq!(engine.shard_count(), 4);
         engine.push_batch(tuples, &mut |_| {});
@@ -1998,7 +1719,7 @@ mod tests {
             equi_query(2, 10_000),
             ProbeStrategy::Auto,
             false,
-            ExecutionBackend::Threads(4),
+            ExecutionBackend::Pool { workers: 4 },
         );
         // Every tuple carries the same key: one shard takes 100% of the
         // routed events.
@@ -2013,30 +1734,27 @@ mod tests {
 
     #[test]
     fn unpartitionable_plans_collapse_to_one_shard() {
-        for backend in [
-            ExecutionBackend::Threads(8),
+        let engine = JoinEngine::new(
+            equi_query(2, 1_000),
+            ProbeStrategy::NestedLoop,
+            false,
             ExecutionBackend::Pool { workers: 8 },
-        ] {
-            let engine = JoinEngine::new(
-                equi_query(2, 1_000),
-                ProbeStrategy::NestedLoop,
-                false,
-                backend.clone(),
-            );
-            assert_eq!(engine.shard_count(), 1, "{backend}");
-            assert!(!engine.partitioner().is_partitioned(), "{backend}");
-        }
+        );
+        assert_eq!(engine.shard_count(), 1);
+        assert!(!engine.partitioner().is_partitioned());
     }
 
     #[test]
     fn remote_backend_rejects_an_empty_endpoint_list() {
-        let err = JoinEngine::try_new(
+        let err = JoinEngine::try_with_policies(
             equi_query(2, 1_000),
             ProbeStrategy::Auto,
             false,
             ExecutionBackend::Remote {
                 endpoints: Vec::new(),
             },
+            None,
+            None,
         )
         .unwrap_err();
         assert!(err.to_string().contains("at least one endpoint"), "{err}");
@@ -2048,11 +1766,13 @@ mod tests {
             StreamSet::homogeneous(2, Schema::new(vec![("a1", FieldType::Int)]), 1_000).unwrap();
         let cond = Arc::new(mswj_join::PredicateFn::new(2, "opaque", |_| true));
         let query = JoinQuery::new("closure", streams, cond).unwrap();
-        let err = JoinEngine::try_new(
+        let err = JoinEngine::try_with_policies(
             query,
             ProbeStrategy::Auto,
             false,
             ExecutionBackend::remote_inproc(2),
+            None,
+            None,
         )
         .unwrap_err();
         assert!(
@@ -2162,17 +1882,16 @@ mod tests {
             })
             .collect();
         let (want_res, want_out, want_stats) = run(ExecutionBackend::Sequential, true, &tuples);
-        for backend in [
-            ExecutionBackend::Threads(3),
-            ExecutionBackend::Pool { workers: 3 },
-        ] {
-            let mut engine = JoinEngine::with_skew(
+        for backend in [ExecutionBackend::Pool { workers: 3 }] {
+            let mut engine = JoinEngine::try_with_policies(
                 equi_query(2, 1_000),
                 ProbeStrategy::Auto,
                 true,
                 backend.clone(),
                 Some(test_skew()),
-            );
+                None,
+            )
+            .unwrap();
             assert!(engine.skew_splitting_enabled(), "{backend}");
             let (res, out, stats) = run_synced(&mut engine, &tuples, 100);
             let hot = join_key_hash(Some(&Value::Int(7)));
@@ -2223,13 +1942,15 @@ mod tests {
         let cold_phase: Vec<Tuple> = (300..900u64)
             .map(|s| tup((s % 2) as usize, s, 20_000 + s * 2, 100 + (s % 40) as i64))
             .collect();
-        let mut engine = JoinEngine::with_skew(
+        let mut engine = JoinEngine::try_with_policies(
             equi_query(2, 2_000),
             ProbeStrategy::Auto,
             false,
-            ExecutionBackend::Threads(3),
+            ExecutionBackend::Pool { workers: 3 },
             Some(test_skew()),
-        );
+            None,
+        )
+        .unwrap();
         let hot = join_key_hash(Some(&Value::Int(7)));
         run_synced(&mut engine, &hot_phase, 150);
         assert_eq!(engine.split_classes(), &[hot], "hot phase must split");
@@ -2269,7 +1990,7 @@ mod tests {
             equi_query(2, 100_000),
             ProbeStrategy::Auto,
             false,
-            ExecutionBackend::Threads(4),
+            ExecutionBackend::Pool { workers: 4 },
         );
         let balanced: Vec<Tuple> = (0..4_096u64)
             .map(|s| tup((s % 2) as usize, s, s * 2, (s % 64) as i64))
@@ -2291,22 +2012,26 @@ mod tests {
     #[test]
     fn splitting_is_inert_when_the_plan_cannot_split() {
         // Nested-loop plans collapse to one broadcast shard: no detector.
-        let engine = JoinEngine::with_skew(
+        let engine = JoinEngine::try_with_policies(
             equi_query(2, 1_000),
             ProbeStrategy::NestedLoop,
             false,
-            ExecutionBackend::Threads(4),
+            ExecutionBackend::Pool { workers: 4 },
             Some(test_skew()),
-        );
+            None,
+        )
+        .unwrap();
         assert!(!engine.skew_splitting_enabled());
         // Single-shard backends cannot redistribute anything either.
-        let engine = JoinEngine::with_skew(
+        let engine = JoinEngine::try_with_policies(
             equi_query(2, 1_000),
             ProbeStrategy::Auto,
             false,
             ExecutionBackend::Sequential,
             Some(test_skew()),
-        );
+            None,
+        )
+        .unwrap();
         assert!(!engine.skew_splitting_enabled());
     }
 
@@ -2415,7 +2140,11 @@ mod tests {
             .map(|s| ftup((s % 2) as usize, s, s * 5, (s % 3) as i64))
             .collect();
         let (want_res, _, want_stats) = run(ExecutionBackend::Sequential, true, &tuples);
-        let mut engine = replanned(equi_query(2, 1_000), true, ExecutionBackend::Threads(3));
+        let mut engine = replanned(
+            equi_query(2, 1_000),
+            true,
+            ExecutionBackend::Pool { workers: 3 },
+        );
         let (res, _, stats) = run_synced(&mut engine, &tuples, 100);
         assert_eq!(res, want_res, "a demotion never changes the multiset");
         assert_eq!(stats.results, want_stats.results);
@@ -2479,7 +2208,6 @@ mod tests {
         );
         let (want_res, _, want_stats) = run_synced(&mut reference, &tuples, 100);
         for backend in [
-            ExecutionBackend::Threads(4),
             ExecutionBackend::Pool { workers: 4 },
             ExecutionBackend::remote_inproc(4),
         ] {

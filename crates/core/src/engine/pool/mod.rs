@@ -1,12 +1,11 @@
 //! Resident shard workers: the executor behind
 //! [`ExecutionBackend::Pool`](super::ExecutionBackend::Pool).
 //!
-//! `Threads(n)` spawns one scoped worker per shard *per batch* — cheap at
-//! 512-event batches, wasteful at small ones, and the per-batch
-//! `thread::scope` is a hard barrier between front-end routing and shard
-//! execution.  The pool removes both costs: one worker thread per shard is
-//! spawned **once** (at `Pipeline::construct`) and stays resident, fed
-//! through a bounded per-shard SPSC [`channel`] of epoch-tagged [`Task`]s.
+//! One worker thread per shard is spawned **once** (at
+//! `Pipeline::construct`) and stays resident, fed through a bounded
+//! per-shard SPSC [`channel`] of epoch-tagged [`Task`]s — no thread spawn
+//! per batch, and no hard barrier between front-end routing and shard
+//! execution.
 //!
 //! ## Protocol
 //!
@@ -30,14 +29,16 @@
 mod channel;
 mod task;
 
-pub(super) use task::{Epoch, EpochOutput, Task};
+pub(super) use task::{CollectedEpoch, Epoch};
 
-use super::exec;
-use mswj_join::MswjOperator;
+use super::{exec, Item, SubOutcome};
+use mswj_join::{JoinResult, MswjOperator};
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
+use task::{EpochOutput, Task};
 
 /// In-flight epochs per shard the task channel can hold.  The engine keeps
 /// at most one epoch outstanding, so 2 means submission never blocks.
@@ -100,6 +101,9 @@ pub(super) struct ShardPool {
     shared: Arc<PoolShared>,
     /// Last epoch submitted per shard — what quiescence waits for.
     submitted: Vec<Epoch>,
+    /// Per-shard queue buffers recycled from collected epochs, swapped in
+    /// for the engine's routed queues at submission.
+    spare: Vec<VecDeque<Item>>,
 }
 
 impl std::fmt::Debug for ShardPool {
@@ -142,17 +146,14 @@ impl ShardPool {
             })
             .collect();
         let submitted = vec![Epoch::default(); shards.len()];
+        let spare = (0..shards.len()).map(|_| VecDeque::new()).collect();
         ShardPool {
             shards,
             workers,
             shared,
             submitted,
+            spare,
         }
-    }
-
-    /// Number of shards (== resident workers).
-    pub(super) fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Mutable access to the shard cells, for the engine's sub-threshold
@@ -184,12 +185,30 @@ impl ShardPool {
         }
     }
 
-    /// Submits one epoch task to shard `s`.  The caller must collect every
-    /// submitted task (in shard order per epoch) before submitting the next
-    /// epoch; with at most one epoch in flight this never blocks.
-    pub(super) fn submit(&mut self, s: usize, task: Task) {
-        debug_assert!(task.epoch > self.submitted[s], "epochs must increase");
-        self.submitted[s] = task.epoch;
+    /// Submits shard `s`'s routed `queue` as its task of `epoch`.  The
+    /// items and the output buffers travel with the task; a recycled queue
+    /// buffer takes their place, so the round-trip allocates nothing.  The
+    /// caller must collect every submitted task (in shard order per epoch)
+    /// before submitting the next epoch; with at most one epoch in flight
+    /// this never blocks.
+    pub(super) fn submit(
+        &mut self,
+        s: usize,
+        epoch: Epoch,
+        routing_epoch: u64,
+        queue: &mut VecDeque<Item>,
+        sub: &mut Vec<SubOutcome>,
+        mat: &mut Vec<(u32, JoinResult)>,
+    ) {
+        debug_assert!(epoch > self.submitted[s], "epochs must increase");
+        self.submitted[s] = epoch;
+        let task = Task {
+            epoch,
+            items: std::mem::replace(queue, std::mem::take(&mut self.spare[s])),
+            sub: std::mem::take(sub),
+            mat: std::mem::take(mat),
+            routing_epoch,
+        };
         let sender = self.workers[s]
             .tasks
             .as_ref()
@@ -202,15 +221,31 @@ impl ShardPool {
     }
 
     /// Receives shard `s`'s output for `expected` — blocking until the
-    /// worker delivers it.  A dead worker surfaces as a panic (with the
-    /// original payload when one was captured), never as a hang.
-    pub(super) fn collect(&mut self, s: usize, expected: Epoch) -> EpochOutput {
-        match self.workers[s].results.recv() {
-            Some(output) => {
-                debug_assert_eq!(output.epoch, expected, "epochs collect in order");
-                output
-            }
-            None => panic!("shard worker {s} terminated before delivering epoch {expected:?}"),
+    /// worker delivers it — into `sub` / `mat`, keeping the drained queue
+    /// for the next submission.  A worker panic is re-raised here with its
+    /// original payload, and a dead worker surfaces as a panic, never as a
+    /// hang.
+    pub(super) fn collect(
+        &mut self,
+        s: usize,
+        expected: Epoch,
+        sub: &mut Vec<SubOutcome>,
+        mat: &mut Vec<(u32, JoinResult)>,
+    ) -> CollectedEpoch {
+        let Some(output) = self.workers[s].results.recv() else {
+            panic!("shard worker {s} terminated before delivering epoch {expected:?}");
+        };
+        let task = output.task;
+        debug_assert_eq!(task.epoch, expected, "epochs collect in order");
+        self.spare[s] = task.items;
+        *sub = task.sub;
+        *mat = task.mat;
+        if let Some(payload) = output.panic {
+            std::panic::resume_unwind(payload);
+        }
+        CollectedEpoch {
+            busy_nanos: output.busy_nanos,
+            routing_epoch: task.routing_epoch,
         }
     }
 
@@ -272,12 +307,8 @@ fn worker_loop(
             shared.idle.notify_all();
         }
         let output = EpochOutput {
-            epoch: task.epoch,
-            items: task.items,
-            sub: task.sub,
-            mat: task.mat,
+            task,
             busy_nanos,
-            routing_epoch: task.routing_epoch,
             panic,
         };
         // A failed send means the engine is gone (mid-stream drop): just

@@ -9,7 +9,7 @@
 //!
 //! All buffers travel both ways: the task carries the routed items plus the
 //! (empty, capacity-retaining) sub-outcome and materialization buffers, and
-//! the output returns all three so the engine can recycle them — a
+//! the output returns all three so they can be recycled — a
 //! steady-state epoch round-trip allocates nothing beyond what the join
 //! itself materializes.
 
@@ -39,20 +39,24 @@ pub(in crate::engine) struct Task {
     pub(in crate::engine) routing_epoch: u64,
 }
 
+/// What collecting one shard's epoch hands back to the engine alongside
+/// the filled `sub` / `mat` buffers — from a pool worker or a remote shard.
+pub(in crate::engine) struct CollectedEpoch {
+    /// Nanoseconds the shard spent executing the epoch.
+    pub(in crate::engine) busy_nanos: u64,
+    /// Routing-table epoch the task ran under (pipeline sanity check).
+    pub(in crate::engine) routing_epoch: u64,
+}
+
 /// One shard's answer for one epoch.
 pub(in crate::engine) struct EpochOutput {
-    /// Echo of the task's epoch (collection asserts it matches).
-    pub(in crate::engine) epoch: Epoch,
-    /// The drained item queue, returned so its capacity can be reused.
-    pub(in crate::engine) items: VecDeque<Item>,
-    /// Per-probing-tuple sub-outcomes, in staging order.
-    pub(in crate::engine) sub: Vec<SubOutcome>,
-    /// Materialized results tagged with their staging sequence.
-    pub(in crate::engine) mat: Vec<(u32, JoinResult)>,
+    /// The executed task, returned whole: its epochs echo back for the
+    /// collection checks, its drained queue is recycled, and its `sub` /
+    /// `mat` buffers now hold the per-probing-tuple sub-outcomes and the
+    /// materialized results, in staging order.
+    pub(in crate::engine) task: Task,
     /// Wall-clock nanoseconds the worker spent executing this epoch.
     pub(in crate::engine) busy_nanos: u64,
-    /// Echo of the task's routing-table epoch (collection asserts it).
-    pub(in crate::engine) routing_epoch: u64,
     /// The panic payload if the shard operator panicked mid-epoch; the
     /// engine resumes the unwind on the caller thread, exactly as
     /// `std::thread::scope` would have.

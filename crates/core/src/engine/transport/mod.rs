@@ -315,6 +315,74 @@ mod tests {
     }
 
     #[test]
+    fn server_rejects_stream_indices_past_the_query_arity() {
+        use mswj_join::{ConditionDescriptor, ProbeStrategy};
+        use mswj_types::{FieldType, Timestamp, Tuple, Value};
+        use mswj_wire::{WireQuery, WireStream};
+
+        let stream = |name: &str| WireStream {
+            name: name.into(),
+            fields: vec![("a1".into(), FieldType::Int)],
+            window: 1_000,
+        };
+        let setup = Frame::Setup(WireQuery {
+            name: "bad-index".into(),
+            streams: vec![stream("S1"), stream("S2")],
+            condition: ConditionDescriptor::CommonKey {
+                columns: vec![0, 0],
+            },
+            strategy: ProbeStrategy::Auto,
+            enumerate: false,
+        });
+        let stray = Tuple::new(9.into(), 0, Timestamp::from_millis(1), vec![Value::Int(1)]);
+        let cases = [
+            Frame::FetchClass {
+                stream: 9,
+                column: 0,
+                key_hash: 0,
+            },
+            Frame::FetchWindow { stream: 9 },
+            Frame::PurgeClass {
+                stream: 9,
+                column: 0,
+                key_hash: 0,
+            },
+            Frame::Retain {
+                stream: 9,
+                column: 0,
+                shards: 2,
+                keep: 0,
+            },
+            Frame::Adopt {
+                tuples: vec![stray],
+            },
+            Frame::Revise {
+                order: vec![0, 9],
+                demote: false,
+            },
+        ];
+        for bad in cases {
+            let label = format!("frame type {:#04x}", bad.frame_type());
+            let (client, server_end) = inproc::duplex();
+            let handle = std::thread::spawn(move || serve_stream(server_end));
+            let mut framed = Framed::new(client);
+            framed.send(&setup).unwrap();
+            assert!(matches!(framed.recv().unwrap(), Frame::SetupAck), "{label}");
+            framed.send(&bad).unwrap();
+            match framed.recv() {
+                Ok(Frame::Error { message }) => {
+                    assert!(message.contains('9'), "{label}: {message}")
+                }
+                other => panic!("{label}: expected an error frame, got {other:?}"),
+            }
+            assert!(
+                matches!(handle.join(), Ok(Ok(()))),
+                "{label}: the connection must close in order, not panic"
+            );
+        }
+    }
+
+    #[test]
     fn shutdown_handshake_ends_the_session() {
         let mut t = connect(&Endpoint::InProc).unwrap();
         t.send(&Frame::Shutdown).unwrap();

@@ -10,6 +10,7 @@
 //! `resume_unwind` surface.
 
 use super::{Endpoint, EngineError, Transport, SHUTDOWN_TIMEOUT};
+use crate::engine::pool::CollectedEpoch;
 use crate::engine::{Item, ShardRuntimeStats, SubOutcome};
 use mswj_join::{JoinQuery, JoinResult, OperatorStats, ProbeStrategy};
 use mswj_types::{Error, Tuple};
@@ -18,15 +19,6 @@ use std::collections::VecDeque;
 use std::panic::panic_any;
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// What `collect` hands back to the engine alongside the filled `sub` /
-/// `mat` buffers.
-pub(in crate::engine) struct CollectedEpoch {
-    /// Nanoseconds the remote operator spent draining the task.
-    pub(in crate::engine) busy_nanos: u64,
-    /// Routing-table epoch the peer echoed back (pipeline sanity check).
-    pub(in crate::engine) routing_epoch: u64,
-}
 
 struct Link {
     transport: Box<dyn Transport>,
@@ -230,122 +222,25 @@ impl RemoteShards {
         }
     }
 
-    /// Fetches one key class from a stream window of `shard` (the remote
-    /// equivalent of scanning the home shard's window during a hot-key
-    /// split).
-    pub(in crate::engine) fn fetch_class(
-        &mut self,
-        shard: usize,
-        stream: u64,
-        column: u64,
-        key_hash: u64,
-    ) -> Vec<Tuple> {
+    /// Sends a window-state request (adopt, purge, retain, revise) to
+    /// `shard` and waits for its ack.
+    pub(in crate::engine) fn ack(&mut self, shard: usize, request: &Frame) {
         let link = self.link_mut(shard);
-        link.send(
-            shard,
-            &Frame::FetchClass {
-                stream,
-                column,
-                key_hash,
-            },
-        );
+        link.send(shard, request);
+        match link.reply(shard) {
+            Frame::Ack => {}
+            other => link.unexpected(shard, "ack", &other),
+        }
+    }
+
+    /// Sends a window-state fetch (one key class or a whole window) to
+    /// `shard` and returns the tuples it answers with.
+    pub(in crate::engine) fn fetch(&mut self, shard: usize, request: &Frame) -> Vec<Tuple> {
+        let link = self.link_mut(shard);
+        link.send(shard, request);
         match link.reply(shard) {
             Frame::ClassData { tuples } => tuples,
             other => link.unexpected(shard, "class-data", &other),
-        }
-    }
-
-    /// Replicates build-side tuples into `shard`'s windows.
-    pub(in crate::engine) fn adopt(&mut self, shard: usize, tuples: &[Tuple]) {
-        let link = self.link_mut(shard);
-        link.send(
-            shard,
-            &Frame::Adopt {
-                tuples: tuples.to_vec(),
-            },
-        );
-        match link.reply(shard) {
-            Frame::Ack => {}
-            other => link.unexpected(shard, "ack", &other),
-        }
-    }
-
-    /// Evicts a previously replicated key class from `shard`'s window.
-    pub(in crate::engine) fn purge_class(
-        &mut self,
-        shard: usize,
-        stream: u64,
-        column: u64,
-        key_hash: u64,
-    ) {
-        let link = self.link_mut(shard);
-        link.send(
-            shard,
-            &Frame::PurgeClass {
-                stream,
-                column,
-                key_hash,
-            },
-        );
-        match link.reply(shard) {
-            Frame::Ack => {}
-            other => link.unexpected(shard, "ack", &other),
-        }
-    }
-
-    /// Fetches the entire live window of one stream from `shard` — the
-    /// bulk counterpart of `fetch_class`, used when a plan revision moves
-    /// a whole stream between routing modes.
-    pub(in crate::engine) fn fetch_window(&mut self, shard: usize, stream: u64) -> Vec<Tuple> {
-        let link = self.link_mut(shard);
-        link.send(shard, &Frame::FetchWindow { stream });
-        match link.reply(shard) {
-            Frame::ClassData { tuples } => tuples,
-            other => link.unexpected(shard, "class-data", &other),
-        }
-    }
-
-    /// Keeps only the tuples of `stream` whose join-key hash (over
-    /// `column`) lands on shard `keep` of `shards` — the remote form of
-    /// the retain pass a pair switch runs on every local shard.
-    pub(in crate::engine) fn retain(
-        &mut self,
-        shard: usize,
-        stream: u64,
-        column: u64,
-        shards: u64,
-        keep: u64,
-    ) {
-        let link = self.link_mut(shard);
-        link.send(
-            shard,
-            &Frame::Retain {
-                stream,
-                column,
-                shards,
-                keep,
-            },
-        );
-        match link.reply(shard) {
-            Frame::Ack => {}
-            other => link.unexpected(shard, "ack", &other),
-        }
-    }
-
-    /// Applies a probe-plan revision (probe reorder and/or index demotion)
-    /// to `shard`'s operator.
-    pub(in crate::engine) fn revise(&mut self, shard: usize, order: &[usize], demote: bool) {
-        let link = self.link_mut(shard);
-        link.send(
-            shard,
-            &Frame::Revise {
-                order: order.to_vec(),
-                demote,
-            },
-        );
-        match link.reply(shard) {
-            Frame::Ack => {}
-            other => link.unexpected(shard, "ack", &other),
         }
     }
 

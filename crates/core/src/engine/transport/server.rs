@@ -15,10 +15,11 @@
 //! [`serve_tcp`], one thread per accepted connection.
 
 use super::Framed;
+use crate::engine::shards::state;
 use crate::engine::{exec, Item};
-use mswj_join::{join_key_hash, JoinQuery, MswjOperator};
+use mswj_join::{JoinQuery, MswjOperator};
 use mswj_obs::{ShardInstruments, Telemetry};
-use mswj_types::{Schema, StreamIndex, StreamSet, StreamSpec, Tuple};
+use mswj_types::{Schema, StreamIndex, StreamSet, StreamSpec};
 use mswj_wire::{Frame, WireError, WireOutput, WireQuery, WireSub};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -106,19 +107,85 @@ fn build_operator(q: &WireQuery) -> Result<MswjOperator, String> {
     Ok(MswjOperator::with_probe(query, q.strategy, q.enumerate))
 }
 
-fn stream_and_column(stream: u64, column: u64) -> Result<(StreamIndex, usize), String> {
-    let s = usize::try_from(stream).map_err(|_| format!("stream index {stream} overflows"))?;
-    let c = usize::try_from(column).map_err(|_| format!("column index {column} overflows"))?;
-    Ok((StreamIndex(s), c))
+/// Decodes a peer's stream index, rejecting any at or past the query's
+/// arity before it can reach the operator's windows.
+fn stream_index(op: &MswjOperator, stream: u64) -> Result<StreamIndex, String> {
+    let m = op.query().arity();
+    match usize::try_from(stream) {
+        Ok(s) if s < m => Ok(StreamIndex(s)),
+        _ => Err(format!(
+            "stream index {stream} out of range for a {m}-stream query"
+        )),
+    }
 }
 
-/// Collects one key class out of a window, in window (timestamp) order.
-fn class_of(op: &MswjOperator, stream: StreamIndex, column: usize, key_hash: u64) -> Vec<Tuple> {
-    op.window(stream)
-        .iter()
-        .filter(|t| join_key_hash(t.value(column)) == key_hash)
-        .cloned()
-        .collect()
+fn stream_and_column(
+    op: &MswjOperator,
+    stream: u64,
+    column: u64,
+) -> Result<(StreamIndex, usize), String> {
+    let c = usize::try_from(column).map_err(|_| format!("column index {column} overflows"))?;
+    Ok((stream_index(op, stream)?, c))
+}
+
+/// Answers one window-state frame (class or window fetch, adoption,
+/// purge, retain, plan revision) through the shared [`state`] operations,
+/// after checking every index the peer sent.  An `Err` is reported to the
+/// peer as an error frame and closes the connection.
+fn answer_state_frame(op: Option<&mut MswjOperator>, frame: Frame) -> Result<Frame, String> {
+    let op = op.ok_or_else(|| format!("frame type {:#04x} before setup", frame.frame_type()))?;
+    Ok(match frame {
+        Frame::FetchClass {
+            stream,
+            column,
+            key_hash,
+        } => {
+            let (s, c) = stream_and_column(op, stream, column)?;
+            Frame::ClassData {
+                tuples: state::fetch_class(op, s, c, key_hash),
+            }
+        }
+        Frame::FetchWindow { stream } => Frame::ClassData {
+            tuples: state::fetch_window(op, stream_index(op, stream)?),
+        },
+        Frame::Adopt { tuples } => {
+            for t in &tuples {
+                stream_index(op, t.stream.as_usize() as u64)?;
+            }
+            state::adopt(op, tuples);
+            Frame::Ack
+        }
+        Frame::PurgeClass {
+            stream,
+            column,
+            key_hash,
+        } => {
+            let (s, c) = stream_and_column(op, stream, column)?;
+            state::purge_class(op, s, c, key_hash);
+            Frame::Ack
+        }
+        Frame::Retain {
+            stream,
+            column,
+            shards,
+            keep,
+        } => {
+            if shards == 0 {
+                return Err("retain with zero shards".into());
+            }
+            let (s, c) = stream_and_column(op, stream, column)?;
+            state::retain(op, s, c, shards, keep);
+            Frame::Ack
+        }
+        Frame::Revise { order, demote } => {
+            if !order.is_empty() && !op.is_probe_order(&order) {
+                return Err(format!("probe order {order:?} is not a permutation"));
+            }
+            state::revise(op, &order, demote);
+            Frame::Ack
+        }
+        other => unreachable!("not a state frame: {:#04x}", other.frame_type()),
+    })
 }
 
 /// Serves one client connection until a shutdown handshake, EOF, or a
@@ -242,117 +309,18 @@ pub fn serve_stream_with<S: Read + Write>(
                     window_segments,
                 })?;
             }
-            Frame::FetchClass {
-                stream,
-                column,
-                key_hash,
-            } => {
-                let reply = match (op.as_ref(), stream_and_column(stream, column)) {
-                    (Some(op), Ok((s, c))) => Frame::ClassData {
-                        tuples: class_of(op, s, c, key_hash),
-                    },
-                    (None, _) => Frame::Error {
-                        message: "fetch-class before setup".into(),
-                    },
-                    (_, Err(message)) => Frame::Error { message },
-                };
-                let terminal = matches!(reply, Frame::Error { .. });
-                framed.send(&reply)?;
-                if terminal {
+            frame @ (Frame::FetchClass { .. }
+            | Frame::FetchWindow { .. }
+            | Frame::Adopt { .. }
+            | Frame::PurgeClass { .. }
+            | Frame::Retain { .. }
+            | Frame::Revise { .. }) => match answer_state_frame(op.as_mut(), frame) {
+                Ok(reply) => framed.send(&reply)?,
+                Err(message) => {
+                    framed.send(&Frame::Error { message })?;
                     return Ok(());
                 }
-            }
-            Frame::Adopt { tuples } => {
-                let Some(op) = op.as_mut() else {
-                    framed.send(&Frame::Error {
-                        message: "adopt before setup".into(),
-                    })?;
-                    return Ok(());
-                };
-                for t in tuples {
-                    op.adopt(t);
-                }
-                framed.send(&Frame::Ack)?;
-            }
-            Frame::PurgeClass {
-                stream,
-                column,
-                key_hash,
-            } => {
-                let reply = match (op.as_mut(), stream_and_column(stream, column)) {
-                    (Some(op), Ok((s, c))) => {
-                        op.evict_where(s, |t| join_key_hash(t.value(c)) != key_hash);
-                        Frame::Ack
-                    }
-                    (None, _) => Frame::Error {
-                        message: "purge-class before setup".into(),
-                    },
-                    (_, Err(message)) => Frame::Error { message },
-                };
-                let terminal = matches!(reply, Frame::Error { .. });
-                framed.send(&reply)?;
-                if terminal {
-                    return Ok(());
-                }
-            }
-            Frame::FetchWindow { stream } => {
-                let reply = match (op.as_ref(), usize::try_from(stream)) {
-                    (Some(op), Ok(s)) => Frame::ClassData {
-                        tuples: op.window(StreamIndex(s)).iter().cloned().collect(),
-                    },
-                    (None, _) => Frame::Error {
-                        message: "fetch-window before setup".into(),
-                    },
-                    (_, Err(_)) => Frame::Error {
-                        message: format!("stream index {stream} overflows"),
-                    },
-                };
-                let terminal = matches!(reply, Frame::Error { .. });
-                framed.send(&reply)?;
-                if terminal {
-                    return Ok(());
-                }
-            }
-            Frame::Retain {
-                stream,
-                column,
-                shards,
-                keep,
-            } => {
-                let reply = match (op.as_mut(), stream_and_column(stream, column)) {
-                    (Some(_), _) if shards == 0 => Frame::Error {
-                        message: "retain with zero shards".into(),
-                    },
-                    (Some(op), Ok((s, c))) => {
-                        op.evict_where(s, |t| join_key_hash(t.value(c)) % shards == keep);
-                        Frame::Ack
-                    }
-                    (None, _) => Frame::Error {
-                        message: "retain before setup".into(),
-                    },
-                    (_, Err(message)) => Frame::Error { message },
-                };
-                let terminal = matches!(reply, Frame::Error { .. });
-                framed.send(&reply)?;
-                if terminal {
-                    return Ok(());
-                }
-            }
-            Frame::Revise { order, demote } => {
-                let Some(op) = op.as_mut() else {
-                    framed.send(&Frame::Error {
-                        message: "revise before setup".into(),
-                    })?;
-                    return Ok(());
-                };
-                if !order.is_empty() {
-                    op.set_probe_order(order);
-                }
-                if demote {
-                    op.demote_index();
-                }
-                framed.send(&Frame::Ack)?;
-            }
+            },
             Frame::Shutdown => {
                 framed.send(&Frame::ShutdownAck)?;
                 return Ok(());

@@ -159,18 +159,25 @@ impl MswjOperator {
     ///
     /// # Panics
     ///
-    /// Panics if `order` is not a permutation of `0..m`.
+    /// Panics if `order` is not a permutation of `0..m`; see
+    /// [`MswjOperator::is_probe_order`].
     pub fn set_probe_order(&mut self, order: Vec<usize>) {
         let m = self.windows.len();
-        let mut seen = vec![false; m];
-        assert_eq!(order.len(), m, "probe order must cover every stream");
-        for &j in &order {
-            assert!(
-                j < m && !std::mem::replace(&mut seen[j], true),
-                "probe order must be a permutation of 0..{m}"
-            );
-        }
+        assert!(
+            self.is_probe_order(&order),
+            "probe order must be a permutation of 0..{m}"
+        );
         self.order = order;
+    }
+
+    /// Whether `order` is a permutation of `0..m` — the probe orders
+    /// [`MswjOperator::set_probe_order`] accepts.
+    pub fn is_probe_order(&self, order: &[usize]) -> bool {
+        let mut seen = vec![false; self.windows.len()];
+        order.len() == seen.len()
+            && order
+                .iter()
+                .all(|&j| j < seen.len() && !std::mem::replace(&mut seen[j], true))
     }
 
     /// Demotes every window's hash index to the nested-loop scan, for the
